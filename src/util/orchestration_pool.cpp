@@ -7,7 +7,7 @@ std::atomic<std::uint64_t> g_constructed{0};
 }  // namespace
 
 OrchestrationPool::OrchestrationPool(std::size_t workers)
-    : workers_(ThreadPool::clamp_workers(workers, 0)) {
+    : workers_(ThreadPool::hardware_workers(workers)) {
   g_constructed.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -32,7 +32,8 @@ namespace unify::util {
 
 class OrchestrationPool {
  public:
-  /// `workers` = 0 sizes the pool to the hardware concurrency. Threads are
+  /// `workers` = 0 sizes the pool to the hardware concurrency
+  /// (ThreadPool::hardware_workers, never capped by a job count). Threads are
   /// not spawned until the first run_all() that needs them.
   explicit OrchestrationPool(std::size_t workers = 0);
 

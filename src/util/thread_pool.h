@@ -7,6 +7,7 @@
 // slots and call wait_idle().
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -60,16 +61,24 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
 
-  /// Worker count for `requested` (0 = hardware concurrency), capped by
-  /// `jobs` so small batches don't spawn idle threads.
+  /// Uncapped worker count: `requested`, or the hardware concurrency when
+  /// `requested` is 0; never zero. This is the call for sizing a pool that
+  /// outlives any one batch (OrchestrationPool, process_pool()).
+  [[nodiscard]] static std::size_t hardware_workers(std::size_t requested) {
+    const std::size_t workers = requested != 0
+                                    ? requested
+                                    : std::thread::hardware_concurrency();
+    return workers == 0 ? 1 : workers;
+  }
+
+  /// Worker count for one batch of `jobs` tasks: hardware_workers(requested)
+  /// capped by `jobs` so small batches don't spawn idle threads, with a
+  /// floor of one worker. `jobs == 0` therefore yields one worker; use
+  /// hardware_workers() for a process-wide pool size.
   [[nodiscard]] static std::size_t clamp_workers(std::size_t requested,
                                                  std::size_t jobs) {
-    std::size_t workers = requested != 0
-                              ? requested
-                              : std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-    if (jobs > 0 && workers > jobs) workers = jobs;
-    return workers;
+    return std::min(hardware_workers(requested),
+                    std::max<std::size_t>(jobs, 1));
   }
 
  private:

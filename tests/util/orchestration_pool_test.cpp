@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -117,6 +118,15 @@ TEST(OrchestrationPool, ConcurrentClientsJoinOnlyTheirOwnBatch) {
   EXPECT_EQ(pool.tasks_run(),
             static_cast<std::uint64_t>(kClients * kRounds) * kTasks);
   EXPECT_EQ(pool.batches(), static_cast<std::uint64_t>(kClients * kRounds));
+}
+
+TEST(OrchestrationPool, SizesUncappedByDefaultAndExactlyOnRequest) {
+  // A pool outlives every batch, so its size is never capped by a job
+  // count: 0 means the hardware concurrency, not a single worker.
+  const std::size_t hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(OrchestrationPool(0).workers(), hardware);
+  EXPECT_EQ(OrchestrationPool(3).workers(), 3u);
 }
 
 TEST(OrchestrationPool, ProcessPoolIsOneInstance) {
